@@ -3,7 +3,8 @@
  * Microbenchmarks (google-benchmark) for the performance-critical
  * primitives: hashing, Zipf sampling, batch generation, CDF
  * construction, remap application, tier resolution, the solver's
- * split kernel, and a full engine iteration.
+ * split kernel, a full engine iteration, routed-trace
+ * materialization and the LRU hot-row cache.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +18,8 @@
 #include "recshard/lp/simplex.hh"
 #include "recshard/profiler/profiler.hh"
 #include "recshard/remap/remap_table.hh"
+#include "recshard/routing/trace.hh"
+#include "recshard/serving/lru_cache.hh"
 #include "recshard/sharding/recshard_solver.hh"
 
 namespace {
@@ -207,6 +210,49 @@ BM_EngineIteration(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_EngineIteration)->Unit(benchmark::kMillisecond);
+
+void
+BM_MaterializeRoutedTrace(benchmark::State &state)
+{
+    // The serve-threads cluster's model: 12 tables of 20 000 rows.
+    const ModelSpec model = makeTinyModel(12, 20000, 7);
+    const SyntheticDataset data(model, 5);
+    LoadConfig load;
+    load.qps = 40000.0;
+    std::uint64_t lookups = 0;
+    for (auto _ : state) {
+        const RoutedTrace trace = materializeRoutedTrace(
+            data, load, static_cast<std::uint64_t>(state.range(0)));
+        for (const RoutedQuery &q : trace.queries)
+            lookups += q.totalLookups;
+        ++load.seed;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(lookups));
+}
+BENCHMARK(BM_MaterializeRoutedTrace)->Arg(2000)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_LruTouch(benchmark::State &state)
+{
+    // Zipf-skewed keys over 4 tables, so touches mix hits, misses
+    // and evictions as on the serving path.
+    const ZipfSampler zipf(100000, 1.05);
+    Rng rng(11);
+    std::vector<std::uint64_t> keys(1 << 20);
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        keys[i] = LruRowCache::rowKey(static_cast<std::uint32_t>(i % 4),
+                                      zipf(rng));
+    LruRowCache cache(static_cast<std::uint64_t>(state.range(0)));
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cache.touch(keys[i]));
+        i = (i + 1) & (keys.size() - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["hit_rate"] = cache.hitRate();
+}
+BENCHMARK(BM_LruTouch)->Arg(500)->Arg(1 << 14);
 
 } // namespace
 

@@ -51,6 +51,18 @@ SyntheticDataset::featureBatch(std::uint32_t feature,
                                std::uint32_t batch_size,
                                std::uint64_t batch_index) const
 {
+    FeatureBatch batch;
+    featureBatch(batch, feature, batch_size, batch_index, monthV);
+    return batch;
+}
+
+void
+SyntheticDataset::featureBatch(FeatureBatch &batch,
+                               std::uint32_t feature,
+                               std::uint32_t batch_size,
+                               std::uint64_t batch_index,
+                               std::uint32_t month) const
+{
     fatal_if(feature >= model.numFeatures(),
              "feature ", feature, " out of range");
     fatal_if(batch_size == 0, "batch size must be >= 1");
@@ -58,21 +70,21 @@ SyntheticDataset::featureBatch(std::uint32_t feature,
 
     // Independent substream per (feature, month, batch index).
     Rng rng = Rng(seed).fork(feature)
-        .fork((static_cast<std::uint64_t>(monthV) << 40) ^
+        .fork((static_cast<std::uint64_t>(month) << 40) ^
               batch_index);
 
     const double drifted_pool = f.meanPool *
-        driftV.multiplier(f.kind, monthV);
+        driftV.multiplier(f.kind, month);
     const PoolingDist pooling(drifted_pool, f.poolSigma, f.maxPool);
     const ZipfSampler zipf(f.cardinality, f.alpha);
     const FeatureHasher hasher(f.hashSize, f.hashSalt);
     // Popularity churn: rotate the raw value space so the hot ranks
     // land on new values as months pass ((v + 0) % n == v, so zero
     // churn is bit-identical to the historical stream).
-    const std::uint64_t shift =
-        driftV.valueShift(monthV, f.cardinality);
+    const std::uint64_t shift = driftV.valueShift(month, f.cardinality);
 
-    FeatureBatch batch;
+    batch.offsets.clear();
+    batch.indices.clear();
     batch.offsets.reserve(batch_size + 1);
     batch.offsets.push_back(0);
     batch.indices.reserve(static_cast<std::size_t>(
@@ -87,7 +99,6 @@ SyntheticDataset::featureBatch(std::uint32_t feature,
         batch.offsets.push_back(
             static_cast<std::uint32_t>(batch.indices.size()));
     }
-    return batch;
 }
 
 SparseBatch

@@ -123,6 +123,18 @@ class SyntheticDataset
                               std::uint32_t batch_size,
                               std::uint64_t batch_index) const;
 
+    /**
+     * The same at an explicit synthetic month, into a caller-owned
+     * batch: the stream's own month is neither read nor changed, and
+     * `out` is overwritten with its capacity reused, so a loop over
+     * many batches keeps one scratch batch instead of allocating per
+     * call.
+     */
+    void featureBatch(FeatureBatch &out, std::uint32_t feature,
+                      std::uint32_t batch_size,
+                      std::uint64_t batch_index,
+                      std::uint32_t month) const;
+
     /** Generate all features for one batch. */
     SparseBatch batch(std::uint32_t batch_size,
                       std::uint64_t batch_index) const;

@@ -65,6 +65,15 @@ class DataProfiler
      */
     std::vector<EmbProfile> finalize();
 
+    /**
+     * Produce one EMB's profile and release its accumulator; the
+     * feature takes no more batches afterwards, and finalize()
+     * would fail on it. Like addFeatureBatch(), it touches only
+     * that feature's state, so distinct features may be
+     * accumulated and finalized concurrently.
+     */
+    EmbProfile finalizeFeature(std::uint32_t feature);
+
   private:
     struct PerFeature
     {
@@ -74,6 +83,7 @@ class DataProfiler
         std::uint64_t presentSamples = 0;
         std::uint64_t totalSamples = 0;
         std::uint64_t lookups = 0;
+        bool released = false; //!< profile taken by finalizeFeature()
     };
 
     const ModelSpec &model;
@@ -84,7 +94,9 @@ class DataProfiler
 /**
  * Convenience wrapper: profile `num_samples` samples drawn from the
  * dataset in batches of `batch_size`, using a batch-index region
- * disjoint from training replay.
+ * disjoint from training replay. Features are profiled on up to
+ * parallelWorkers() threads (base/parallel.hh); the profiles equal
+ * a sequential addFeatureBatch() loop for every worker count.
  */
 std::vector<EmbProfile> profileDataset(const SyntheticDataset &data,
                                        std::uint64_t num_samples,

@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "recshard/base/logging.hh"
+#include "recshard/base/parallel.hh"
 
 namespace recshard {
 
@@ -34,68 +35,87 @@ RoutedQuery::degradedPrefix(std::uint32_t kept,
         out[j] = sampleOffsets[j][kept];
 }
 
+namespace {
+
+/** Queries per parallel work item: enough that claiming an item
+ *  costs nothing, few enough that a 20 000-query trace splits into
+ *  ~150 items for the workers to balance. */
+constexpr std::uint64_t kQueriesPerChunk = 128;
+
+/**
+ * Draw `num_queries` arrivals from one LoadGenerator, in order, then
+ * materialize every query's lookups at synthetic month month_of(i).
+ * Each query's lookups are a pure function of (seed, feature, month,
+ * batch index), so chunks of queries are generated in parallel and
+ * the trace is identical for every worker count. Lookup lists are
+ * stored at exact size (copied out of a per-worker scratch batch).
+ */
+template <typename MonthOf>
+RoutedTrace
+materialize(const SyntheticDataset &data, const LoadConfig &load,
+            std::uint64_t num_queries, MonthOf month_of)
+{
+    fatal_if(num_queries == 0, "need at least one query to route");
+    LoadGenerator generator(load);
+    RoutedTrace trace;
+    trace.queries.resize(num_queries);
+    for (std::uint64_t i = 0; i < num_queries; ++i) {
+        trace.queries[i].query = generator.next();
+        trace.queries[i].query.id = i; // dense ids in arrival order
+    }
+
+    const std::uint32_t J = data.spec().numFeatures();
+    const std::uint64_t chunks =
+        (num_queries + kQueriesPerChunk - 1) / kQueriesPerChunk;
+    std::vector<FeatureBatch> scratch(parallelWorkers(chunks));
+    parallelFor(chunks, [&](unsigned worker, std::size_t chunk) {
+        FeatureBatch &fb = scratch[worker];
+        const std::uint64_t end = std::min<std::uint64_t>(
+            num_queries, (chunk + 1) * kQueriesPerChunk);
+        for (std::uint64_t i = chunk * kQueriesPerChunk; i < end; ++i) {
+            RoutedQuery &rq = trace.queries[i];
+            rq.lookups.reserve(J);
+            rq.sampleOffsets.reserve(J);
+            for (std::uint32_t j = 0; j < J; ++j) {
+                data.featureBatch(fb, j, rq.query.samples,
+                                  rq.query.batchIndex, month_of(i));
+                rq.totalLookups += fb.indices.size();
+                rq.lookups.emplace_back(fb.indices.begin(),
+                                        fb.indices.end());
+                rq.sampleOffsets.emplace_back(fb.offsets.begin(),
+                                              fb.offsets.end());
+            }
+        }
+    });
+    return trace;
+}
+
+} // namespace
+
 RoutedTrace
 materializeRoutedTrace(const SyntheticDataset &data,
                        const LoadConfig &load,
                        std::uint64_t num_queries)
 {
-    fatal_if(num_queries == 0, "need at least one query to route");
-    LoadGenerator generator(load);
-    const std::uint32_t J = data.spec().numFeatures();
-
-    RoutedTrace trace;
-    trace.queries.resize(num_queries);
-    for (std::uint64_t i = 0; i < num_queries; ++i) {
-        RoutedQuery &rq = trace.queries[i];
-        rq.query = generator.next();
-        rq.query.id = i; // dense ids in arrival order
-        rq.lookups.resize(J);
-        rq.sampleOffsets.resize(J);
-        for (std::uint32_t j = 0; j < J; ++j) {
-            FeatureBatch fb = data.featureBatch(
-                j, rq.query.samples, rq.query.batchIndex);
-            rq.totalLookups += fb.indices.size();
-            rq.lookups[j] = std::move(fb.indices);
-            rq.sampleOffsets[j] = std::move(fb.offsets);
-        }
-    }
-    return trace;
+    const std::uint32_t month = data.month();
+    return materialize(data, load, num_queries,
+                       [month](std::uint64_t) { return month; });
 }
 
 RoutedTrace
-materializeDriftingRoutedTrace(SyntheticDataset &data,
+materializeDriftingRoutedTrace(const SyntheticDataset &data,
                                const LoadConfig &load,
                                std::uint64_t num_queries,
                                const DriftTraceSchedule &schedule)
 {
-    fatal_if(num_queries == 0, "need at least one query to route");
     fatal_if(schedule.months == 0,
              "a drifting trace must span >= 1 month");
-    const std::uint32_t saved_month = data.month();
-    LoadGenerator generator(load);
-    const std::uint32_t J = data.spec().numFeatures();
-
-    RoutedTrace trace;
-    trace.queries.resize(num_queries);
-    for (std::uint64_t i = 0; i < num_queries; ++i) {
-        data.setMonth(schedule.startMonth +
-                      static_cast<std::uint32_t>(
-                          i * schedule.months / num_queries));
-        RoutedQuery &rq = trace.queries[i];
-        rq.query = generator.next();
-        rq.query.id = i; // dense ids in arrival order
-        rq.lookups.resize(J);
-        rq.sampleOffsets.resize(J);
-        for (std::uint32_t j = 0; j < J; ++j) {
-            FeatureBatch fb = data.featureBatch(
-                j, rq.query.samples, rq.query.batchIndex);
-            rq.totalLookups += fb.indices.size();
-            rq.lookups[j] = std::move(fb.indices);
-            rq.sampleOffsets[j] = std::move(fb.offsets);
-        }
-    }
-    data.setMonth(saved_month);
-    return trace;
+    return materialize(
+        data, load, num_queries, [&](std::uint64_t i) {
+            return schedule.startMonth +
+                static_cast<std::uint32_t>(i * schedule.months /
+                                           num_queries);
+        });
 }
 
 namespace {
@@ -183,6 +203,9 @@ readRoutedTrace(std::istream &in)
     for (std::uint64_t i = 0; i < Q; ++i) {
         RoutedQuery &rq = trace.queries[i];
         rq.query.id = readPod<std::uint64_t>(in);
+        fatal_if(rq.query.id != i, "routed-trace query ", i,
+                 " has id ", rq.query.id,
+                 "; ids must be dense in arrival order");
         rq.query.arrival = readPod<double>(in);
         rq.query.samples = readPod<std::uint32_t>(in);
         rq.query.batchIndex = readPod<std::uint64_t>(in);
@@ -190,16 +213,22 @@ readRoutedTrace(std::istream &in)
         const auto J = readPod<std::uint64_t>(in);
         rq.lookups.resize(J);
         rq.sampleOffsets.resize(J);
+        std::uint64_t lookups = 0;
         for (std::uint64_t j = 0; j < J; ++j) {
             rq.lookups[j] = readVec<std::uint64_t>(in);
             rq.sampleOffsets[j] = readVec<std::uint32_t>(in);
-            fatal_if(rq.sampleOffsets[j].size() !=
-                             rq.query.samples + 1ull ||
-                         rq.sampleOffsets[j].back() !=
-                             rq.lookups[j].size(),
+            const std::vector<std::uint32_t> &off = rq.sampleOffsets[j];
+            fatal_if(off.size() != rq.query.samples + 1ull ||
+                         off.front() != 0 ||
+                         !std::is_sorted(off.begin(), off.end()) ||
+                         off.back() != rq.lookups[j].size(),
                      "routed-trace query ", i, " feature ", j,
                      " has inconsistent CSR geometry");
+            lookups += rq.lookups[j].size();
         }
+        fatal_if(rq.totalLookups != lookups, "routed-trace query ", i,
+                 " claims ", rq.totalLookups, " lookups but carries ",
+                 lookups);
     }
     return trace;
 }

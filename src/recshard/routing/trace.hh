@@ -85,8 +85,11 @@ struct RoutedTrace
 
 /**
  * Generate `num_queries` arrivals under `load` and materialize each
- * query's embedding lookups from the dataset. Query ids are dense
- * [0, num_queries) in arrival order.
+ * query's embedding lookups from the dataset at its current month.
+ * Query ids are dense [0, num_queries) in arrival order. Lookups are
+ * generated on up to parallelWorkers() threads (base/parallel.hh);
+ * the trace does not depend on the worker count, and every lookup
+ * list is stored at exact size (capacity == size).
  */
 RoutedTrace materializeRoutedTrace(const SyntheticDataset &data,
                                    const LoadConfig &load,
@@ -105,15 +108,16 @@ struct DriftTraceSchedule
 };
 
 /**
- * Like materializeRoutedTrace(), but the dataset's month advances
+ * Like materializeRoutedTrace(), but the synthetic month advances
  * across the stream per `schedule` — the drift model the replan
  * bench and bench_fig09_drift --emit-trace share. One continuous
  * LoadGenerator produces the arrivals, so the arrival process is
- * identical to the static trace's; only the lookups drift. The
- * dataset's month is restored afterwards (hence non-const).
+ * identical to the static trace's; only the lookups drift. Each
+ * query's month is passed to the dataset explicitly, so the
+ * dataset's own month is never touched.
  */
 RoutedTrace materializeDriftingRoutedTrace(
-    SyntheticDataset &data, const LoadConfig &load,
+    const SyntheticDataset &data, const LoadConfig &load,
     std::uint64_t num_queries, const DriftTraceSchedule &schedule);
 
 /**
@@ -125,8 +129,13 @@ RoutedTrace materializeDriftingRoutedTrace(
  */
 void writeRoutedTrace(std::ostream &out, const RoutedTrace &trace);
 
-/** Read a trace written by writeRoutedTrace(); fatal() on a bad
- *  magic, truncation, or inconsistent CSR geometry. */
+/**
+ * Read a trace written by writeRoutedTrace(). fatal() on a bad
+ * magic, truncation, query ids that are not dense [0, Q) in
+ * arrival order, CSR offsets that do not start at 0, decrease, or
+ * end off the lookup count, and a totalLookups that is not the sum
+ * of the query's lookup lists.
+ */
 RoutedTrace readRoutedTrace(std::istream &in);
 
 } // namespace recshard

@@ -16,14 +16,21 @@
  * one-off cold rows evict recurring warm rows; frequency-aware
  * admission (TinyLFU or CDF-gated) refuses the cold rows and keeps
  * the hit rate up at equal capacity.
+ *
+ * The cache is flat: entries live in parallel key/prev/next slot
+ * arrays (an index-linked recency list, MRU at the head) found
+ * through an open-addressed, linearly probed index of slot numbers
+ * kept at most a quarter full. Evictions reuse the victim's slot and
+ * delete its index entry by backward shift, so the index never
+ * carries tombstones. A touch is a few array reads and writes and
+ * never allocates once the cache is full.
  */
 
 #ifndef RECSHARD_SERVING_LRU_CACHE_HH
 #define RECSHARD_SERVING_LRU_CACHE_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "recshard/base/logging.hh"
 
@@ -69,7 +76,7 @@ class LruRowCache
 
     bool enabled() const { return capacityV > 0; }
     std::uint64_t capacity() const { return capacityV; }
-    std::uint64_t size() const { return map.size(); }
+    std::uint64_t size() const { return keys.size(); }
     std::uint64_t hits() const { return hitsV; }
     std::uint64_t misses() const { return missesV; }
     /** Misses the admission policy refused to cache. */
@@ -79,11 +86,35 @@ class LruRowCache
     double hitRate() const;
 
   private:
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /** Index position a key's probe sequence starts at. */
+    std::size_t home(std::uint64_t key) const
+    {
+        // Fibonacci hashing: the top bits of key * 2^64/phi.
+        return static_cast<std::size_t>(
+            (key * 0x9e3779b97f4a7c15ULL) >> indexShift);
+    }
+    /** Index position holding `key`, or of the empty entry its
+     *  probe stops at. */
+    std::size_t find(std::uint64_t key) const;
+    /** Remove the entry at index position `pos` (backward shift). */
+    void eraseAt(std::size_t pos);
+    /** Rebuild the index at `entries` positions (a power of 2). */
+    void rebuildIndex(std::size_t entries);
+    void unlink(std::uint32_t slot);
+    void pushFront(std::uint32_t slot);
+
     std::uint64_t capacityV;
     CacheAdmission *admission; //!< borrowed; may be null
-    std::list<std::uint64_t> order; //!< MRU at front
-    std::unordered_map<std::uint64_t,
-                       std::list<std::uint64_t>::iterator> map;
+    /** Slot arrays: one entry per cached key, never shrinking. */
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint32_t> prev, next; //!< recency links
+    std::uint32_t head = kNil; //!< MRU slot
+    std::uint32_t tail = kNil; //!< LRU slot
+    /** Open-addressed index of slot numbers (kNil = empty). */
+    std::vector<std::uint32_t> index;
+    unsigned indexShift = 64;
     std::uint64_t hitsV = 0;
     std::uint64_t missesV = 0;
     std::uint64_t rejectedV = 0;

@@ -29,7 +29,9 @@
  *   - churn model: zero churn is bit-identical to the historical
  *     stream at every month; nonzero churn leaves month 0
  *     untouched and rotates later months;
- *   - the routed-trace binary format round-trips identically;
+ *   - the routed-trace binary format round-trips identically, and
+ *     a stream with broken CSR offsets, a wrong lookup total or
+ *     non-dense query ids fails to load;
  *   - pipeline phase 6 and the experiment-harness comparison wire
  *     through end to end.
  */
@@ -491,6 +493,61 @@ TEST(ReplanTrace, BinaryFormatRoundTrips)
                           std::ios::binary);
     bad << "NOTATRACE";
     EXPECT_DEATH(readRoutedTrace(bad), "bad magic");
+}
+
+/** Serialize a (possibly corrupted) trace and read it back. */
+RoutedTrace
+roundTrip(const RoutedTrace &trace)
+{
+    std::stringstream buf(std::ios::in | std::ios::out |
+                          std::ios::binary);
+    writeRoutedTrace(buf, trace);
+    return readRoutedTrace(buf);
+}
+
+TEST(ReplanTrace, MalformedTracesFailLoudly)
+{
+    const ModelSpec model = driftableModel(3, 1000, 31);
+    const SyntheticDataset data(model, 31);
+    LoadConfig load;
+    load.qps = 20000.0;
+    load.meanQuerySamples = 5.0;
+    load.seed = 31;
+    const RoutedTrace good = materializeRoutedTrace(data, load, 200);
+    EXPECT_EQ(roundTrip(good).queries.size(), good.queries.size());
+
+    // A feature list whose second candidate boundary is interior
+    // (>= 2 candidates) and non-empty, so each corruption below
+    // breaks exactly one rule.
+    const auto usable = [&](std::size_t q, std::size_t j) {
+        return good.queries[q].query.samples >= 2 &&
+            good.queries[q].sampleOffsets[j][1] > 0;
+    };
+    std::size_t qi = 0, fj = 0;
+    while (qi < good.queries.size() && !usable(qi, fj)) {
+        if (++fj == model.numFeatures()) {
+            fj = 0;
+            ++qi;
+        }
+    }
+    ASSERT_LT(qi, good.queries.size());
+
+    RoutedTrace bad = good;
+    bad.queries[qi].sampleOffsets[fj][0] = 1; // CSR must start at 0
+    EXPECT_DEATH(roundTrip(bad), "inconsistent CSR geometry");
+
+    bad = good;
+    std::vector<std::uint32_t> &off = bad.queries[qi].sampleOffsets[fj];
+    off[1] = off.back() + 1; // offsets decrease after [1]
+    EXPECT_DEATH(roundTrip(bad), "inconsistent CSR geometry");
+
+    bad = good;
+    ++bad.queries[qi].totalLookups;
+    EXPECT_DEATH(roundTrip(bad), "claims [0-9]+ lookups");
+
+    bad = good;
+    bad.queries[1].query.id = 7; // ids must be dense, in order
+    EXPECT_DEATH(roundTrip(bad), "ids must be dense");
 }
 
 TEST(ReplanPipeline, PhaseSixWiresThrough)
