@@ -18,6 +18,7 @@
 #include "recshard/lp/simplex.hh"
 #include "recshard/profiler/profiler.hh"
 #include "recshard/remap/remap_table.hh"
+#include "recshard/routing/router.hh"
 #include "recshard/routing/trace.hh"
 #include "recshard/serving/lru_cache.hh"
 #include "recshard/sharding/recshard_solver.hh"
@@ -231,6 +232,42 @@ BM_MaterializeRoutedTrace(benchmark::State &state)
 }
 BENCHMARK(BM_MaterializeRoutedTrace)->Arg(2000)
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_RouterRoute(benchmark::State &state)
+{
+    // DES dispatch and ShardServer pricing: 2000 queries over a
+    // 3-node cluster of 12 tables x 20 000 rows (20% of the model in
+    // HBM), round-robin, 500-row LRU per GPU. One item is one
+    // lookup; each iteration routes the trace from a cold start.
+    ModelSpec model = makeTinyModel(12, 20000, 7);
+    for (auto &f : model.features)
+        f.dim = 128;
+    const SyntheticDataset data(model, 5);
+    SystemSpec system = SystemSpec::paper(2, 1.0);
+    system.hbm.capacityBytes = static_cast<std::uint64_t>(
+        0.2 * static_cast<double>(model.totalBytes()) / system.numGpus);
+    system.uvm.capacityBytes = model.totalBytes();
+    ClusterPlanOptions options;
+    options.numNodes = 3;
+    const RoutingCluster cluster = buildRoutingCluster(
+        model, profileDataset(data, 30000, 4096), system, options);
+    LoadConfig load;
+    load.qps = 40000.0;
+    const RoutedTrace trace = materializeRoutedTrace(data, load, 2000);
+    RouterConfig config;
+    config.server.cacheRows = 500;
+
+    std::uint64_t lookups = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            Router(model, cluster, config).route(trace));
+        for (const RoutedQuery &q : trace.queries)
+            lookups += q.totalLookups;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(lookups));
+}
+BENCHMARK(BM_RouterRoute)->Unit(benchmark::kMillisecond);
 
 void
 BM_LruTouch(benchmark::State &state)

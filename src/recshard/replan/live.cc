@@ -242,7 +242,6 @@ LiveReplanServer::serve(const RoutedTrace &trace) const
         events.push(e);
     };
 
-    std::vector<std::uint32_t> prefix; // reused dispatch scratch
     const auto tryDispatch = [&](std::uint32_t n, double now) {
         // An in-flight step owns the node's GPUs; the head-of-line
         // query waits at most that one step.
@@ -252,17 +251,9 @@ LiveReplanServer::serve(const RoutedTrace &trace) const
             return;
         const std::uint64_t qid = nodes[n].frontPending();
         const RoutedQuery &rq = trace.queries[qid];
-        const bool trimmed =
-            state[qid].keptSamples < rq.query.samples;
-        if (trimmed)
-            rq.degradedPrefix(state[qid].keptSamples, prefix);
-        const NodeDispatch d = trimmed
-            ? nodes[n].dispatchNext(
-                  now,
-                  rq.asDegradedBatch(now, state[qid].keptSamples),
-                  rq.lookups, &prefix)
-            : nodes[n].dispatchNext(now, rq.asBatch(now),
-                                    rq.lookups);
+        const std::uint32_t kept = state[qid].keptSamples;
+        const NodeDispatch d = nodes[n].dispatchNext(
+            now, rq.asBatch(now, kept), rq.lookups, kept);
         total_service += d.serviceSeconds;
         hbm += d.hbmAccesses;
         uvm += d.uvmAccesses;
@@ -273,7 +264,7 @@ LiveReplanServer::serve(const RoutedTrace &trace) const
         // Feed the feedback loop at dispatch: the sketch sees the
         // lookups actually executed (degraded prefix included), the
         // detector the dispatch's tier split.
-        rs[n].profiler.observeQuery(rq, state[qid].keptSamples);
+        rs[n].profiler.observeQuery(rq, kept);
         rs[n].detector.observe(d.hbmAccesses, d.uvmAccesses,
                                d.cacheHits);
 

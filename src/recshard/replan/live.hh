@@ -9,7 +9,7 @@
  * quantifies the re-sharding benefit, but offline). This subsystem
  * closes the loop online:
  *
- *   serving -> sketch (replan/sketch.hh, O(1) per lookup)
+ *   serving -> sketch (replan/sketch.hh, per lookup)
  *           -> drift trigger (replan/drift.hh, hit-fraction EWMA)
  *           -> planner (core/pipeline.hh assessReshard, any
  *              registry planner, gated by minSpeedup)

@@ -60,6 +60,14 @@ RowFrequencySketch::RowFrequencySketch(std::uint64_t hash_size,
     const std::uint32_t width = ceilPow2(cfg.width);
     mask = width - 1;
     counters.assign(static_cast<std::size_t>(cfg.depth) * width, 0);
+    slots.resize(cfg.depth);
+}
+
+std::size_t
+RowFrequencySketch::slotOf(std::uint64_t row, std::uint32_t d) const
+{
+    return static_cast<std::size_t>(d) * (mask + 1) +
+        (mix64(row ^ (0xd6e8feb86659fd93ULL * (d + 1))) & mask);
 }
 
 void
@@ -70,22 +78,17 @@ RowFrequencySketch::observe(std::uint64_t row)
     ++total;
 
     // Conservative count-min update: read the minimum, then raise
-    // only the counters sitting at it.
+    // only the counters sitting at it. Each row's slots are hashed
+    // once, for both passes.
     std::uint32_t est = ~0u;
     for (std::uint32_t d = 0; d < cfg.depth; ++d) {
-        const std::size_t slot =
-            static_cast<std::size_t>(d) * (mask + 1) +
-            (mix64(row ^ (0xd6e8feb86659fd93ULL * (d + 1))) & mask);
-        est = std::min(est, counters[slot]);
+        slots[d] = slotOf(row, d);
+        est = std::min(est, counters[slots[d]]);
     }
     const std::uint32_t raised =
         est == ~0u ? est : est + 1; // saturate
-    for (std::uint32_t d = 0; d < cfg.depth; ++d) {
-        const std::size_t slot =
-            static_cast<std::size_t>(d) * (mask + 1) +
-            (mix64(row ^ (0xd6e8feb86659fd93ULL * (d + 1))) & mask);
+    for (const std::size_t slot : slots)
         counters[slot] = std::max(counters[slot], raised);
-    }
 
     // Top-k candidates: exact count once admitted, count-min seed
     // on admission. The threshold tracks the weakest survivor of
@@ -146,12 +149,8 @@ RowFrequencySketch::estimate(std::uint64_t row) const
     if (it != candidates.end())
         return it->second;
     std::uint32_t est = ~0u;
-    for (std::uint32_t d = 0; d < cfg.depth; ++d) {
-        const std::size_t slot =
-            static_cast<std::size_t>(d) * (mask + 1) +
-            (mix64(row ^ (0xd6e8feb86659fd93ULL * (d + 1))) & mask);
-        est = std::min(est, counters[slot]);
-    }
+    for (std::uint32_t d = 0; d < cfg.depth; ++d)
+        est = std::min(est, counters[slotOf(row, d)]);
     return est;
 }
 
@@ -261,19 +260,20 @@ void
 LiveProfiler::observeQuery(const RoutedQuery &query,
                            std::uint32_t kept)
 {
-    panic_if(query.lookups.size() != sketches.size(),
-             "query carries ", query.lookups.size(),
-             " lookup lists for ", sketches.size(), " tables");
+    panic_if(query.lookups.numFeatures() != sketches.size(),
+             "query carries lookups of ", query.lookups.numFeatures(),
+             " features for ", sketches.size(), " tables");
     panic_if(kept == 0 || kept > query.query.samples,
              "query ", query.query.id, " offers ",
              query.query.samples, " candidates; cannot observe ",
              kept);
     ++queriesV;
     for (std::uint32_t j = 0; j < sketches.size(); ++j) {
-        const auto &offsets = query.sampleOffsets[j];
+        const std::uint32_t *rows = query.lookups.featureRows(j);
+        const std::uint32_t *offsets = query.lookups.featureOffsets(j);
         const std::uint32_t limit = offsets[kept];
         for (std::uint32_t i = 0; i < limit; ++i)
-            sketches[j].observe(query.lookups[j][i]);
+            sketches[j].observe(rows[i]);
         Tally &t = tallies[j];
         t.totalSamples += kept;
         t.lookups += limit;

@@ -8,11 +8,13 @@
  * RowFrequencySketch: a count-min sketch (conservative update) for
  * point frequency estimates, a bounded top-k candidate set tracking
  * the rows that matter for pinning, and a KMV (k minimum values)
- * estimator for the distinct-row count that sizes the tail. Every
- * observe() is O(1) amortized: the count-min update is constant
- * work, candidate admission is a hash-map probe, and the candidate
- * prune runs every pruneInterval updates over a set bounded by
- * topK + pruneInterval entries.
+ * estimator for the distinct-row count that sizes the tail. The
+ * count-min update is constant work and candidate admission is a
+ * hash-map probe; the candidate prune runs every pruneInterval
+ * updates and copies and rebuilds up to topK + pruneInterval map
+ * entries, so each observe() pays for about
+ * 1 + topK / pruneInterval entries amortized — O(1) only while topK
+ * is not much larger than pruneInterval.
  *
  * toCdf() exports the sketch as a FrequencyCdf — the exact type the
  * DataProfiler emits — with the top-k rows carrying their estimated
@@ -51,9 +53,12 @@ struct SketchConfig
     std::uint32_t depth = 4;
     /** Hot-row candidates tracked exactly (the pinning frontier). */
     std::uint32_t topK = 1024;
-    /** Updates between candidate prunes; the prune touches at most
-     *  topK + pruneInterval entries, keeping observe() O(1)
-     *  amortized. */
+    /** Updates between candidate prunes. Each prune copies and
+     *  rebuilds up to topK + pruneInterval candidate entries, so an
+     *  update pays for about 1 + topK / pruneInterval of them
+     *  amortized: with topK >> pruneInterval (topK 32768 against
+     *  4096 is ~9 per update) the prune, not the count-min update,
+     *  dominates observe(). */
     std::uint32_t pruneInterval = 4096;
     /** KMV sample size for the distinct-row estimate. */
     std::uint32_t kmvSize = 256;
@@ -68,7 +73,8 @@ class RowFrequencySketch
     RowFrequencySketch(std::uint64_t hash_size,
                        const SketchConfig &config);
 
-    /** Record one access; O(1) amortized. */
+    /** Record one access (see SketchConfig::pruneInterval for the
+     *  amortized prune cost). */
     void observe(std::uint64_t row);
 
     /** Accesses observed since construction (post-decay scale). */
@@ -97,11 +103,14 @@ class RowFrequencySketch
 
   private:
     void prune(std::size_t keep);
+    /** Counter index of `row` in count-min hash row `d`. */
+    std::size_t slotOf(std::uint64_t row, std::uint32_t d) const;
 
     std::uint64_t hashSize;
     SketchConfig cfg;
     std::uint32_t mask = 0;          //!< width - 1 (power of two)
     std::vector<std::uint32_t> counters; //!< depth x width
+    std::vector<std::size_t> slots; //!< observe() scratch, depth long
     std::unordered_map<std::uint64_t, std::uint64_t> candidates;
     std::uint64_t admitThreshold = 1;
     std::uint64_t sincePrune = 0;
@@ -114,7 +123,7 @@ class RowFrequencySketch
 /**
  * Per-node live profiler: one sketch per table plus the pooling and
  * coverage tallies that complete an EmbProfile. Fed once per
- * dispatched query from the serving loop (O(1) per lookup), exported
+ * dispatched query from the serving loop, exported
  * on demand for drift assessment and replanning.
  */
 class LiveProfiler

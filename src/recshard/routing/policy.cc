@@ -47,15 +47,15 @@ LocalityIndex::score(std::uint32_t node,
 {
     fatal_if(node >= pct.size(), "no node ", node, " in index");
     const std::vector<double> &node_pct = pct[node];
-    fatal_if(query.lookups.size() != node_pct.size(),
-             "query touches ", query.lookups.size(),
+    fatal_if(query.lookups.numFeatures() != node_pct.size(),
+             "query touches ", query.lookups.numFeatures(),
              " tables; index has ", node_pct.size());
     if (query.totalLookups == 0)
         return 0.0;
     double hot = 0.0;
-    for (std::size_t j = 0; j < node_pct.size(); ++j)
+    for (std::uint32_t j = 0; j < node_pct.size(); ++j)
         hot += node_pct[j] *
-            static_cast<double>(query.lookups[j].size());
+            static_cast<double>(query.lookups.featureLookups(j));
     return hot / static_cast<double>(query.totalLookups);
 }
 

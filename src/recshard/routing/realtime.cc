@@ -346,7 +346,6 @@ RealTimeExecutor::run(
                 owned.push_back(n);
             WorkerLedger &led = workerLedgers[w];
             ServingMetrics &m = metrics.shard(w);
-            std::vector<std::uint32_t> prefix; // dispatch scratch
             for (;;) {
                 // Read the done flag *before* sweeping: if the
                 // sweep then finds every owned queue empty, all
@@ -363,24 +362,12 @@ RealTimeExecutor::run(
                     any = true;
                     const RoutedQuery &rq =
                         trace.queries[item.id];
-                    const bool trimmed =
-                        item.kept < rq.query.samples;
-                    std::uint64_t executed = rq.totalLookups;
-                    const std::vector<std::uint32_t> *pfx =
-                        nullptr;
-                    if (trimmed) {
-                        rq.degradedPrefix(item.kept, prefix);
-                        executed = 0;
-                        for (const std::uint32_t c : prefix)
-                            executed += c;
-                        pfx = &prefix;
-                    }
+                    const std::uint64_t executed =
+                        rq.lookups.prefixLookups(item.kept);
                     const BatchCompletion done_batch =
                         nr.pool.executeOne(
-                            trimmed ? rq.asDegradedBatch(
-                                          0.0, item.kept)
-                                    : rq.asBatch(0.0),
-                            rq.lookups, pfx);
+                            rq.asBatch(0.0, item.kept), rq.lookups,
+                            item.kept);
                     const double now = nowSeconds();
                     const double service = done_batch.finishTime -
                         nr.virtualFinish;

@@ -195,27 +195,18 @@ Router::route(const RoutedTrace &trace,
     };
 
     // Start a node's head-of-line query if the fleet is idle.
-    std::vector<std::uint32_t> prefix; // reused dispatch scratch
     auto tryDispatch = [&](std::uint32_t n, double now) {
         if (nodes[n].busy() || !nodes[n].hasPending())
             return;
         const std::uint64_t qid = nodes[n].frontPending();
         const RoutedQuery &rq = trace.queries[qid];
         // A degraded query executes only its kept candidates'
-        // lookups — a CSR prefix of each feature's list, limited
-        // in place (nothing is copied) — so its service time
-        // genuinely shrinks with its fidelity.
-        const bool trimmed =
-            state[qid].keptSamples < rq.query.samples;
-        if (trimmed)
-            rq.degradedPrefix(state[qid].keptSamples, prefix);
-        const NodeDispatch d = trimmed
-            ? nodes[n].dispatchNext(
-                  now,
-                  rq.asDegradedBatch(now, state[qid].keptSamples),
-                  rq.lookups, &prefix)
-            : nodes[n].dispatchNext(now, rq.asBatch(now),
-                                    rq.lookups);
+        // lookups — a CSR prefix of each feature, read in place
+        // (nothing is copied) — so its service time genuinely
+        // shrinks with its fidelity.
+        const std::uint32_t kept = state[qid].keptSamples;
+        const NodeDispatch d = nodes[n].dispatchNext(
+            now, rq.asBatch(now, kept), rq.lookups, kept);
         node_service[n] += d.serviceSeconds;
         hbm += d.hbmAccesses;
         uvm += d.uvmAccesses;

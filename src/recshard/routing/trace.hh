@@ -11,6 +11,14 @@
  * measured differences are attributable to the routing decision
  * alone — the routing-tier analogue of serveTrafficComparison()'s
  * shared-trace discipline.
+ *
+ * Each query's lookups are one LookupBlock (serving/lookup_block.hh):
+ * 4-byte row ids for every feature in one array, plus per-feature
+ * starts and per-candidate offsets. Row ids must fit 32 bits, and
+ * the limit is enforced at both ways in: materializeRoutedTrace()
+ * and materializeDriftingRoutedTrace() fatal() before generating
+ * anything if a table has more than 2^32 rows, and readRoutedTrace()
+ * fatal()s on a stored row id >= 2^32.
  */
 
 #ifndef RECSHARD_ROUTING_TRACE_HH
@@ -22,6 +30,7 @@
 
 #include "recshard/datagen/dataset.hh"
 #include "recshard/serving/load_generator.hh"
+#include "recshard/serving/lookup_block.hh"
 #include "recshard/serving/scheduler.hh"
 
 namespace recshard {
@@ -30,50 +39,28 @@ namespace recshard {
 struct RoutedQuery
 {
     Query query;
-    /** lookups[j]: row ids feature j reads for this query. */
-    std::vector<std::vector<std::uint64_t>> lookups;
     /**
-     * sampleOffsets[j]: CSR candidate boundaries into lookups[j]
-     * (query.samples + 1 entries) — candidate s of feature j owns
-     * lookups[j][sampleOffsets[j][s] .. sampleOffsets[j][s+1]).
-     * Preserved from the dataset's FeatureBatch layout so
-     * degraded-mode serving (overload/degradation.hh) can trim a
-     * query to its first `kept` ranking candidates at exact
-     * candidate boundaries.
+     * Every row the query reads, per feature and per ranking
+     * candidate (lookups.samples == query.samples), in one compact
+     * 32-bit block (serving/lookup_block.hh). The per-candidate
+     * offsets let degraded-mode serving (overload/degradation.hh)
+     * execute only the first `kept` candidates, in place. The block
+     * is the query's own, so a query is self-contained: the live
+     * profiler (replan/sketch.hh) observes one with nothing else.
      */
-    std::vector<std::vector<std::uint32_t>> sampleOffsets;
+    LookupBlock lookups;
     /** Total row reads across features (locality denominator). */
     std::uint64_t totalLookups = 0;
 
-    /** The query wrapped as a singleton micro-batch dispatched at
-     *  virtual time `ready` (used by ServingNode::dispatchNext). */
-    MicroBatch asBatch(double ready) const
-    {
-        MicroBatch b;
-        b.id = query.id;
-        b.closeTime = ready;
-        b.queries = {query};
-        return b;
-    }
-
     /**
-     * The query degraded to its first `kept` candidates, wrapped as
-     * a singleton micro-batch: identical to asBatch() except the
-     * carried query's sample count is the kept count, so downstream
-     * accounting sees the degraded size.
+     * The query degraded to its first `kept` candidates (kept ==
+     * query.samples serves it whole), wrapped as a singleton
+     * micro-batch dispatched at virtual time `ready` (used by
+     * ServingNode::dispatchNext): the carried query's sample count
+     * is the kept count, so downstream accounting sees the served
+     * size. `kept` must be in [1, query.samples].
      */
-    MicroBatch asDegradedBatch(double ready,
-                               std::uint32_t kept) const;
-
-    /**
-     * Per-feature lookup counts of the first `kept` candidates —
-     * the CSR prefix lengths a degraded dispatch limits execution
-     * to (ShardServer reads `lookups[j][0 .. out[j])` in place;
-     * nothing is copied on the dispatch path). `kept` must be in
-     * [1, query.samples]; `out` is overwritten.
-     */
-    void degradedPrefix(std::uint32_t kept,
-                        std::vector<std::uint32_t> &out) const;
+    MicroBatch asBatch(double ready, std::uint32_t kept) const;
 };
 
 /** A shared, immutable arrival stream with materialized lookups. */
@@ -89,7 +76,8 @@ struct RoutedTrace
  * Query ids are dense [0, num_queries) in arrival order. Lookups are
  * generated on up to parallelWorkers() threads (base/parallel.hh);
  * the trace does not depend on the worker count, and every lookup
- * list is stored at exact size (capacity == size).
+ * block is stored at exact size (capacity == size). fatal() before
+ * any generation if a table has more than kMaxCompactRows rows.
  */
 RoutedTrace materializeRoutedTrace(const SyntheticDataset &data,
                                    const LoadConfig &load,
@@ -126,15 +114,20 @@ RoutedTrace materializeDriftingRoutedTrace(
  * from one tool to another on one machine (bench_fig09_drift
  * --emit-trace -> bench_replan_drift / tests). Not an interchange
  * format: no endianness or word-size translation is attempted.
+ * The format predates the 32-bit lookup blocks and is unchanged:
+ * per feature, the row count, the rows as 64-bit ids, the offset
+ * count and the samples + 1 candidate offsets (32-bit).
  */
 void writeRoutedTrace(std::ostream &out, const RoutedTrace &trace);
 
 /**
  * Read a trace written by writeRoutedTrace(). fatal() on a bad
  * magic, truncation, query ids that are not dense [0, Q) in
- * arrival order, CSR offsets that do not start at 0, decrease, or
- * end off the lookup count, and a totalLookups that is not the sum
- * of the query's lookup lists.
+ * arrival order, a row id >= kMaxCompactRows, CSR offsets that do
+ * not start at 0, decrease, or end off the lookup count, and a
+ * totalLookups that is not the sum of the query's lookups. Memory
+ * grows with the data actually read, so a corrupt length field
+ * runs into the end of the stream instead of a huge allocation.
  */
 RoutedTrace readRoutedTrace(std::istream &in);
 

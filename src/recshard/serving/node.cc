@@ -41,10 +41,9 @@ ServingNode::frontPending() const
 }
 
 NodeDispatch
-ServingNode::dispatchNext(
-    double now, const MicroBatch &batch,
-    const std::vector<std::vector<std::uint64_t>> &lookups,
-    const std::vector<std::uint32_t> *prefix)
+ServingNode::dispatchNext(double now, const MicroBatch &batch,
+                          const LookupBlock &lookups,
+                          std::uint32_t kept)
 {
     fatal_if(running, "node ", idV,
              " asked to dispatch while query ", runningId,
@@ -57,7 +56,7 @@ ServingNode::dispatchNext(
     pending.pop_front();
 
     const BatchCompletion done =
-        poolV.executeOne(batch, lookups, prefix);
+        poolV.executeOne(batch, lookups, kept);
     NodeDispatch d;
     d.queryId = batch.id;
     d.startTime = now;

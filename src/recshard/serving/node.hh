@@ -105,18 +105,14 @@ class ServingNode
      *
      * @param now     Dispatch time (>= all prior finish times).
      * @param batch   The query wrapped as a singleton micro-batch.
-     * @param lookups Per-feature row ids the query reads.
-     * @param prefix  Optional per-feature lookup-count limits: a
-     *                degraded query executes only the CSR prefix
-     *                of its kept ranking candidates (see
-     *                ShardServer::execute). Null serves fully.
+     * @param lookups Every row the query reads.
+     * @param kept    Candidates to serve: a degraded query executes
+     *                only the rows of its first `kept` ranking
+     *                candidates (see ShardServer::execute).
      */
-    NodeDispatch
-    dispatchNext(double now, const MicroBatch &batch,
-                 const std::vector<std::vector<std::uint64_t>>
-                     &lookups,
-                 const std::vector<std::uint32_t> *prefix =
-                     nullptr);
+    NodeDispatch dispatchNext(double now, const MicroBatch &batch,
+                              const LookupBlock &lookups,
+                              std::uint32_t kept);
 
     /** Head-of-line pending query id (requires hasPending()). */
     std::uint64_t frontPending() const;

@@ -22,18 +22,20 @@ generateTrace(const SyntheticDataset &data,
 
     // Materialize every lookup once; each plan evaluation reuses
     // them, paying the Zipf-sampling cost a single time.
+    requireCompactRows(data.spec());
     const std::uint32_t J = data.spec().numFeatures();
     trace.lookups.resize(trace.batches.size());
+    FeatureBatch fb;
     for (std::size_t b = 0; b < trace.batches.size(); ++b) {
-        auto &per_feature = trace.lookups[b];
-        per_feature.resize(J);
-        for (const Query &q : trace.batches[b].queries) {
-            for (std::uint32_t j = 0; j < J; ++j) {
-                const FeatureBatch fb =
-                    data.featureBatch(j, q.samples, q.batchIndex);
-                per_feature[j].insert(per_feature[j].end(),
-                                      fb.indices.begin(),
-                                      fb.indices.end());
+        const MicroBatch &batch = trace.batches[b];
+        LookupBlock &block = trace.lookups[b];
+        block.reset(batch.totalSamples(), J, 0);
+        for (std::uint32_t j = 0; j < J; ++j) {
+            block.addFeature();
+            for (const Query &q : batch.queries) {
+                data.featureBatch(fb, j, q.samples, q.batchIndex,
+                                  data.month());
+                block.appendSamples(fb);
             }
         }
     }

@@ -30,17 +30,14 @@ ShardServer::ShardServer(std::uint32_t gpu, const ModelSpec &model_,
 }
 
 BatchExecution
-ShardServer::execute(
-    const MicroBatch &batch,
-    const std::vector<std::vector<std::uint64_t>> &lookups,
-    const std::vector<std::uint32_t> *prefix)
+ShardServer::execute(const MicroBatch &batch,
+                     const LookupBlock &lookups, std::uint32_t kept)
 {
-    panic_if(lookups.size() != model.features.size(),
-             "batch carries ", lookups.size(), " lookup lists for ",
-             model.features.size(), " features");
-    panic_if(prefix && prefix->size() != lookups.size(),
-             "batch carries ", prefix->size(),
-             " lookup limits for ", lookups.size(), " features");
+    panic_if(lookups.numFeatures() != model.features.size(),
+             "batch carries lookups of ", lookups.numFeatures(),
+             " features for ", model.features.size());
+    panic_if(kept > lookups.samples, "batch serves ", kept,
+             " of its ", lookups.samples, " candidates");
     BatchExecution exec;
     exec.batchId = batch.id;
     exec.readyTime = batch.closeTime;
@@ -57,13 +54,10 @@ ShardServer::execute(
                 model.features[j].rowBytes();
             std::uint64_t fast = 0; // HBM-speed: pins + cache hits
             std::uint64_t slow = 0;
-            const std::size_t end =
-                prefix ? (*prefix)[j] : lookups[j].size();
-            panic_if(end > lookups[j].size(), "feature ", j,
-                     " limited to ", end, " of ", lookups[j].size(),
-                     " lookups");
-            for (std::size_t i = 0; i < end; ++i) {
-                const std::uint64_t idx = lookups[j][i];
+            const std::uint32_t *rows = lookups.featureRows(j);
+            const std::uint32_t end = lookups.prefixEnd(j, kept);
+            for (std::uint32_t i = 0; i < end; ++i) {
+                const std::uint64_t idx = rows[i];
                 if (res.inHbm(idx)) {
                     ++fast;
                     ++exec.hbmAccesses;
@@ -95,13 +89,10 @@ ShardServer::execute(
             const std::uint64_t row_bytes =
                 model.features[j].rowBytes();
             std::fill(counts.begin(), counts.end(), 0);
-            const std::size_t end =
-                prefix ? (*prefix)[j] : lookups[j].size();
-            panic_if(end > lookups[j].size(), "feature ", j,
-                     " limited to ", end, " of ", lookups[j].size(),
-                     " lookups");
-            for (std::size_t i = 0; i < end; ++i) {
-                const std::uint64_t idx = lookups[j][i];
+            const std::uint32_t *rows = lookups.featureRows(j);
+            const std::uint32_t end = lookups.prefixEnd(j, kept);
+            for (std::uint32_t i = 0; i < end; ++i) {
+                const std::uint64_t idx = rows[i];
                 const std::uint8_t tier = res.tierOf(idx);
                 panic_if(tier >= T, "EMB ", j, " row ", idx,
                          " resolves to tier ",
@@ -152,16 +143,14 @@ ShardServerPool::ShardServerPool(
 }
 
 BatchCompletion
-ShardServerPool::executeOne(
-    const MicroBatch &batch,
-    const std::vector<std::vector<std::uint64_t>> &lookups,
-    const std::vector<std::uint32_t> *prefix)
+ShardServerPool::executeOne(const MicroBatch &batch,
+                            const LookupBlock &lookups,
+                            std::uint32_t kept)
 {
     BatchCompletion c;
     c.batchId = batch.id;
     for (ShardServer &server : fleet) {
-        const BatchExecution e =
-            server.execute(batch, lookups, prefix);
+        const BatchExecution e = server.execute(batch, lookups, kept);
         c.finishTime = std::max(c.finishTime, e.finishTime);
         c.hbmAccesses += e.hbmAccesses;
         c.uvmAccesses += e.uvmAccesses;
@@ -199,7 +188,8 @@ ShardServerPool::run(const ServingTrace &trace)
             std::size_t b = 0;
             while (queues[m].pop(b))
                 execs[m].push_back(fleet[m].execute(
-                    trace.batches[b], trace.lookups[b]));
+                    trace.batches[b], trace.lookups[b],
+                    trace.lookups[b].samples));
         });
     }
 

@@ -32,6 +32,7 @@
 #include "recshard/memsim/system_spec.hh"
 #include "recshard/remap/remap_table.hh"
 #include "recshard/serving/cache_admission.hh"
+#include "recshard/serving/lookup_block.hh"
 #include "recshard/serving/lru_cache.hh"
 #include "recshard/serving/scheduler.hh"
 #include "recshard/sharding/plan.hh"
@@ -44,14 +45,14 @@ namespace recshard {
  * (they depend only on the data stream and the queries), so one
  * trace is generated once and shared across every plan evaluated
  * against it — the dominant Zipf-sampling cost is paid once, not
- * once per plan. Memory is linear in total lookups (~8 bytes each).
+ * once per plan. Memory is linear in total lookups (~4 bytes each).
  */
 struct ServingTrace
 {
     std::vector<MicroBatch> batches;
-    /** lookups[b][j]: row ids feature j reads for batch b, in
-     *  query-major order. */
-    std::vector<std::vector<std::vector<std::uint64_t>>> lookups;
+    /** lookups[b]: every row batch b reads; each feature's rows in
+     *  query-major order, one candidate per sample of the batch. */
+    std::vector<LookupBlock> lookups;
 };
 
 /** Per-server knobs. */
@@ -100,19 +101,18 @@ class ShardServer
      * Execute one micro-batch; advances the virtual clock.
      *
      * @param batch   The sealed batch (timing metadata).
-     * @param lookups Per-feature row ids the batch reads (the
-     *                trace's lookups[b]); only this GPU's features
-     *                are touched.
-     * @param prefix  Optional per-feature lookup-count limits:
-     *                only lookups[j][0 .. prefix[j]) execute —
-     *                how degraded-mode serving (overload/) trims a
-     *                query to its kept ranking candidates without
-     *                copying the trace. Null executes everything.
+     * @param lookups Every row the batch reads (the trace's
+     *                lookups[b]); only this GPU's features are
+     *                touched.
+     * @param kept    Candidates to serve, at most lookups.samples:
+     *                each feature executes only the rows of its
+     *                first `kept` candidates (LookupBlock::prefixEnd)
+     *                — how degraded-mode serving (overload/) trims
+     *                a query without copying the trace.
      */
-    BatchExecution
-    execute(const MicroBatch &batch,
-            const std::vector<std::vector<std::uint64_t>> &lookups,
-            const std::vector<std::uint32_t> *prefix = nullptr);
+    BatchExecution execute(const MicroBatch &batch,
+                           const LookupBlock &lookups,
+                           std::uint32_t kept);
 
     std::uint32_t gpu() const { return gpuV; }
     /** Tables this shard owns. */
@@ -191,17 +191,14 @@ class ShardServerPool
      * own free time).
      *
      * @param batch   Sealed batch (timing metadata).
-     * @param lookups Per-feature row ids the batch reads.
-     * @param prefix  Optional per-feature lookup-count limits
-     *                (degraded-mode serving; see
-     *                ShardServer::execute).
+     * @param lookups Every row the batch reads.
+     * @param kept    Candidates to serve (degraded-mode serving;
+     *                see ShardServer::execute).
      * @return The all-GPU completion (slowest shard's finish).
      */
-    BatchCompletion
-    executeOne(const MicroBatch &batch,
-               const std::vector<std::vector<std::uint64_t>>
-                   &lookups,
-               const std::vector<std::uint32_t> *prefix = nullptr);
+    BatchCompletion executeOne(const MicroBatch &batch,
+                               const LookupBlock &lookups,
+                               std::uint32_t kept);
 
     /** Summed busy (service) seconds across the fleet. */
     double busySeconds() const;

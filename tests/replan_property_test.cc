@@ -29,9 +29,12 @@
  *   - churn model: zero churn is bit-identical to the historical
  *     stream at every month; nonzero churn leaves month 0
  *     untouched and rotates later months;
- *   - the routed-trace binary format round-trips identically, and
- *     a stream with broken CSR offsets, a wrong lookup total or
- *     non-dense query ids fails to load;
+ *   - the routed-trace binary format round-trips identically,
+ *     writes the same bytes as the 64-bit-row writer did, and a
+ *     stream with broken CSR offsets, a wrong lookup total,
+ *     non-dense query ids, a row id past 32 bits or a length field
+ *     past the end of the data fails to load; no trace is generated
+ *     for a table past 2^32 rows;
  *   - pipeline phase 6 and the experiment-harness comparison wire
  *     through end to end.
  */
@@ -41,6 +44,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "recshard/core/pipeline.hh"
@@ -78,9 +82,10 @@ exactCounts(const ModelSpec &model, const RoutedTrace &trace)
     std::vector<std::map<std::uint64_t, std::uint64_t>> counts(
         model.numFeatures());
     for (const RoutedQuery &rq : trace.queries)
-        for (std::size_t j = 0; j < rq.lookups.size(); ++j)
-            for (const std::uint64_t row : rq.lookups[j])
-                ++counts[j][row];
+        for (std::uint32_t j = 0; j < rq.lookups.numFeatures(); ++j)
+            for (std::uint32_t i = 0; i < rq.lookups.featureLookups(j);
+                 ++i)
+                ++counts[j][rq.lookups.featureRows(j)[i]];
     return counts;
 }
 
@@ -481,11 +486,10 @@ TEST(ReplanTrace, BinaryFormatRoundTrips)
         EXPECT_EQ(y.query.samples, x.query.samples);
         EXPECT_EQ(y.query.batchIndex, x.query.batchIndex);
         EXPECT_EQ(y.totalLookups, x.totalLookups);
-        ASSERT_EQ(y.lookups.size(), x.lookups.size());
-        for (std::size_t j = 0; j < x.lookups.size(); ++j) {
-            EXPECT_EQ(y.lookups[j], x.lookups[j]);
-            EXPECT_EQ(y.sampleOffsets[j], x.sampleOffsets[j]);
-        }
+        EXPECT_EQ(y.lookups.samples, x.lookups.samples);
+        EXPECT_EQ(y.lookups.rows, x.lookups.rows);
+        EXPECT_EQ(y.lookups.featureStart, x.lookups.featureStart);
+        EXPECT_EQ(y.lookups.sampleOffsets, x.lookups.sampleOffsets);
     }
 
     // Garbage in front fails loudly, not quietly.
@@ -516,14 +520,22 @@ TEST(ReplanTrace, MalformedTracesFailLoudly)
     const RoutedTrace good = materializeRoutedTrace(data, load, 200);
     EXPECT_EQ(roundTrip(good).queries.size(), good.queries.size());
 
+    // Feature j's candidate offsets in query q of `trace`.
+    const auto offsets = [](RoutedTrace &trace, std::size_t q,
+                            std::uint32_t j) {
+        LookupBlock &block = trace.queries[q].lookups;
+        return block.sampleOffsets.data() +
+            j * (std::size_t{block.samples} + 1);
+    };
     // A feature list whose second candidate boundary is interior
     // (>= 2 candidates) and non-empty, so each corruption below
     // breaks exactly one rule.
-    const auto usable = [&](std::size_t q, std::size_t j) {
+    const auto usable = [&](std::size_t q, std::uint32_t j) {
         return good.queries[q].query.samples >= 2 &&
-            good.queries[q].sampleOffsets[j][1] > 0;
+            good.queries[q].lookups.featureOffsets(j)[1] > 0;
     };
-    std::size_t qi = 0, fj = 0;
+    std::size_t qi = 0;
+    std::uint32_t fj = 0;
     while (qi < good.queries.size() && !usable(qi, fj)) {
         if (++fj == model.numFeatures()) {
             fj = 0;
@@ -533,12 +545,12 @@ TEST(ReplanTrace, MalformedTracesFailLoudly)
     ASSERT_LT(qi, good.queries.size());
 
     RoutedTrace bad = good;
-    bad.queries[qi].sampleOffsets[fj][0] = 1; // CSR must start at 0
+    offsets(bad, qi, fj)[0] = 1; // CSR must start at 0
     EXPECT_DEATH(roundTrip(bad), "inconsistent CSR geometry");
 
     bad = good;
-    std::vector<std::uint32_t> &off = bad.queries[qi].sampleOffsets[fj];
-    off[1] = off.back() + 1; // offsets decrease after [1]
+    std::uint32_t *off = offsets(bad, qi, fj);
+    off[1] = off[good.queries[qi].query.samples] + 1; // decreases
     EXPECT_DEATH(roundTrip(bad), "inconsistent CSR geometry");
 
     bad = good;
@@ -548,6 +560,124 @@ TEST(ReplanTrace, MalformedTracesFailLoudly)
     bad = good;
     bad.queries[1].query.id = 7; // ids must be dense, in order
     EXPECT_DEATH(roundTrip(bad), "ids must be dense");
+
+    // A length field is not trusted to size anything: "RSRT1" and
+    // Q = 2^40 queries, then nothing, is a truncated stream.
+    std::stringstream huge(std::ios::in | std::ios::out |
+                           std::ios::binary);
+    const std::uint64_t queries = 1ULL << 40;
+    huge.write("RSRT1", 5);
+    huge.write(reinterpret_cast<const char *>(&queries),
+               sizeof(queries));
+    ASSERT_EQ(huge.str().size(), 13u);
+    EXPECT_DEATH(readRoutedTrace(huge),
+                 "truncated routed-trace stream");
+}
+
+/** A fixed three-query, two-feature trace built by hand: empty
+ *  features, a repeated row and the largest 32-bit row id. */
+RoutedTrace
+handBuiltTrace()
+{
+    struct Spec
+    {
+        double arrival;
+        std::uint32_t samples;
+        std::uint64_t batchIndex;
+        std::vector<FeatureBatch> features;
+    };
+    const std::vector<Spec> specs = {
+        {0.0, 2, 7, {{{0, 2, 3}, {5, 4294967295ULL, 9}},
+                     {{0, 0, 0}, {}}}},
+        {0.125, 1, 8, {{{0, 1}, {0}}, {{0, 2}, {3, 3}}}},
+        {1.5e-3, 3, 1ULL << 40,
+         {{{0, 0, 0, 0}, {}}, {{0, 1, 1, 4}, {1, 2, 65536, 7}}}},
+    };
+    RoutedTrace trace;
+    for (const Spec &spec : specs) {
+        RoutedQuery &rq = trace.queries.emplace_back();
+        rq.query.id = trace.queries.size() - 1;
+        rq.query.arrival = spec.arrival;
+        rq.query.samples = spec.samples;
+        rq.query.batchIndex = spec.batchIndex;
+        rq.lookups.reset(spec.samples, 2, 0);
+        for (const FeatureBatch &fb : spec.features) {
+            rq.lookups.addFeature();
+            rq.lookups.appendSamples(fb);
+            rq.totalLookups += fb.indices.size();
+        }
+    }
+    return trace;
+}
+
+std::string
+serialized(const RoutedTrace &trace)
+{
+    std::stringstream buf(std::ios::in | std::ios::out |
+                          std::ios::binary);
+    writeRoutedTrace(buf, trace);
+    return buf.str();
+}
+
+TEST(ReplanTrace, WrittenBytesMatchTheRsrt1Golden)
+{
+    // RSRT1 is host-endian; the golden was taken little-endian.
+    const std::uint16_t probe = 1;
+    if (*reinterpret_cast<const unsigned char *>(&probe) != 1)
+        GTEST_SKIP() << "golden bytes are little-endian";
+    // FNV-1a 64 of the bytes the nested-vector (64-bit row) trace
+    // writer produced for this trace, before lookups were stored in
+    // 32-bit blocks: traces written then (bench_fig09_drift
+    // --emit-trace) must still read, and new ones read back there.
+    const std::string bytes = serialized(handBuiltTrace());
+    std::uint64_t h = 14695981039346656037ULL;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    EXPECT_EQ(bytes.size(), 393u);
+    EXPECT_EQ(h, 0x384b5bb4083bcac1ULL);
+
+    std::stringstream in(bytes, std::ios::in | std::ios::binary);
+    const RoutedTrace back = readRoutedTrace(in);
+    EXPECT_EQ(serialized(back), bytes);
+    EXPECT_EQ(back.queries[0].lookups.featureRows(0)[1], 4294967295u);
+}
+
+TEST(ReplanTrace, RowIdsMustFitThirtyTwoBits)
+{
+    // The reader narrows rows to 32 bits and refuses what does not
+    // fit: bytes 65..72 hold query 0's first row (13 header bytes,
+    // 44 of query fields, 8 of the feature's row count).
+    std::string bytes = serialized(handBuiltTrace());
+    const std::uint64_t too_big = 1ULL << 32;
+    ASSERT_EQ(bytes[65], 5);
+    bytes.replace(65, sizeof(too_big),
+                  reinterpret_cast<const char *>(&too_big),
+                  sizeof(too_big));
+    std::stringstream in(bytes, std::ios::in | std::ios::binary);
+    EXPECT_DEATH(readRoutedTrace(in), "row ids must fit 32 bits");
+
+    // Generation refuses a table past 2^32 rows before it draws a
+    // single lookup.
+    ModelSpec model = driftableModel(2, 1000, 37);
+    model.features[1].hashSize = (1ULL << 32) + 1;
+    model.features[1].cardinality = model.features[1].hashSize;
+    const SyntheticDataset data(model, 37);
+    LoadConfig load;
+    load.seed = 37;
+    EXPECT_DEATH(materializeRoutedTrace(data, load, 10),
+                 "32-bit row ids");
+    EXPECT_DEATH(materializeDriftingRoutedTrace(data, load, 10,
+                                                DriftTraceSchedule{}),
+                 "32-bit row ids");
+
+    // Exactly 2^32 rows still fits.
+    model.features[1].hashSize = 1ULL << 32;
+    model.features[1].cardinality = model.features[1].hashSize;
+    const SyntheticDataset edge(model, 37);
+    EXPECT_EQ(materializeRoutedTrace(edge, load, 10).queries.size(),
+              10u);
 }
 
 TEST(ReplanPipeline, PhaseSixWiresThrough)

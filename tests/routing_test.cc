@@ -209,13 +209,19 @@ TEST(Routing, LocalityIndexPrefersThePinningNode)
     // A query that only touches tables of node n's slice must
     // score strictly higher on node n than anywhere else.
     for (std::uint32_t n = 0; n < 3; ++n) {
-        RoutedQuery rq;
-        rq.lookups.resize(fx.model.numFeatures());
+        std::vector<FeatureBatch> features(fx.model.numFeatures(),
+                                           FeatureBatch{{0, 0}, {}});
         for (const std::uint32_t j : fx.cluster.planSet.slices[n]) {
             if (fx.cluster.planSet.plans[n].tables[j].hbmRows == 0)
                 continue;
-            rq.lookups[j] = {0, 1, 2, 3}; // hottest-ranked rows
-            rq.totalLookups += 4;
+            features[j] = {{0, 4}, {0, 1, 2, 3}}; // hottest-ranked
+        }
+        RoutedQuery rq;
+        rq.lookups.reset(1, fx.model.numFeatures(), 0);
+        for (const FeatureBatch &fb : features) {
+            rq.lookups.addFeature();
+            rq.lookups.appendSamples(fb);
+            rq.totalLookups += fb.indices.size();
         }
         ASSERT_GT(rq.totalLookups, 0u);
         const double own = index.score(n, rq);
@@ -351,7 +357,8 @@ TEST(ServingNode, PendingQueriesCancelButRunningOnesDoNot)
 
     const RoutedQuery &rq = fx.trace.queries[0];
     const NodeDispatch d =
-        node.dispatchNext(0.0, rq.asBatch(0.0), rq.lookups);
+        node.dispatchNext(0.0, rq.asBatch(0.0, rq.query.samples),
+                          rq.lookups, rq.query.samples);
     EXPECT_GT(d.finishTime, 0.0);
     EXPECT_TRUE(node.busy());
 

@@ -23,48 +23,68 @@ namespace {
 
 using namespace recshard;
 
+/** One query of the sequential reference: the dataset's own
+ *  featureBatch() output per feature, 64-bit rows and all. */
+struct ReferenceQuery
+{
+    Query query;
+    std::vector<FeatureBatch> features;
+};
+
 /** Sequential reference: arrivals and lookups query by query, at
  *  the month month_of(i), through the dataset's own month. */
 template <typename MonthOf>
-RoutedTrace
+std::vector<ReferenceQuery>
 referenceTrace(SyntheticDataset data, const LoadConfig &load,
                std::uint64_t n, MonthOf month_of)
 {
     LoadGenerator generator(load);
-    RoutedTrace trace;
-    trace.queries.resize(n);
+    std::vector<ReferenceQuery> trace(n);
     for (std::uint64_t i = 0; i < n; ++i) {
         data.setMonth(month_of(i));
-        RoutedQuery &rq = trace.queries[i];
+        ReferenceQuery &rq = trace[i];
         rq.query = generator.next();
         rq.query.id = i;
-        for (std::uint32_t j = 0; j < data.spec().numFeatures(); ++j) {
-            FeatureBatch fb = data.featureBatch(j, rq.query.samples,
-                                                rq.query.batchIndex);
-            rq.totalLookups += fb.indices.size();
-            rq.lookups.push_back(std::move(fb.indices));
-            rq.sampleOffsets.push_back(std::move(fb.offsets));
-        }
+        for (std::uint32_t j = 0; j < data.spec().numFeatures(); ++j)
+            rq.features.push_back(data.featureBatch(
+                j, rq.query.samples, rq.query.batchIndex));
     }
     return trace;
 }
 
 void
-expectSameTrace(const RoutedTrace &got, const RoutedTrace &want)
+expectSameTrace(const RoutedTrace &got,
+                const std::vector<ReferenceQuery> &want)
 {
-    ASSERT_EQ(got.queries.size(), want.queries.size());
-    for (std::size_t i = 0; i < want.queries.size(); ++i) {
+    ASSERT_EQ(got.queries.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
         const RoutedQuery &x = got.queries[i];
-        const RoutedQuery &y = want.queries[i];
+        const ReferenceQuery &y = want[i];
         ASSERT_EQ(x.query.id, y.query.id);
         ASSERT_EQ(x.query.arrival, y.query.arrival);
         ASSERT_EQ(x.query.samples, y.query.samples);
         ASSERT_EQ(x.query.batchIndex, y.query.batchIndex);
-        ASSERT_EQ(x.totalLookups, y.totalLookups) << "query " << i;
-        ASSERT_EQ(x.lookups, y.lookups) << "query " << i;
-        ASSERT_EQ(x.sampleOffsets, y.sampleOffsets) << "query " << i;
-        for (const auto &l : x.lookups)
-            ASSERT_EQ(l.capacity(), l.size()) << "query " << i;
+        const LookupBlock &block = x.lookups;
+        ASSERT_EQ(block.samples, y.query.samples);
+        ASSERT_EQ(block.numFeatures(), y.features.size());
+        std::uint64_t total = 0;
+        for (std::uint32_t j = 0; j < block.numFeatures(); ++j) {
+            const FeatureBatch &fb = y.features[j];
+            // Rows compared after widening back to 64 bits.
+            const std::vector<std::uint64_t> rows(
+                block.featureRows(j),
+                block.featureRows(j) + block.featureLookups(j));
+            ASSERT_EQ(rows, fb.indices) << "query " << i;
+            const std::vector<std::uint32_t> offsets(
+                block.featureOffsets(j),
+                block.featureOffsets(j) + block.samples + 1);
+            ASSERT_EQ(offsets, fb.offsets) << "query " << i;
+            total += fb.indices.size();
+        }
+        ASSERT_EQ(x.totalLookups, total) << "query " << i;
+        ASSERT_EQ(block.rows.size(), total) << "query " << i;
+        ASSERT_EQ(block.rows.capacity(), block.rows.size())
+            << "query " << i;
     }
 }
 
