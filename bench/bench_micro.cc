@@ -1,10 +1,12 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) for the performance-critical
- * primitives: hashing, Zipf sampling, batch generation, CDF
- * construction, remap application, tier resolution, the solver's
- * split kernel, a full engine iteration, routed-trace
- * materialization and the LRU hot-row cache.
+ * primitives: hashing, Zipf sampling (exact and table-driven), batch
+ * generation, dataset profiling, CDF construction, remap
+ * application, tier resolution, the solver's split kernel, a full
+ * engine iteration, routed-trace materialization, DES dispatch,
+ * admission decisions, the hedge-delay latency window and the LRU
+ * hot-row cache.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +18,7 @@
 #include "recshard/engine/execution.hh"
 #include "recshard/hashing/hashers.hh"
 #include "recshard/lp/simplex.hh"
+#include "recshard/overload/admission.hh"
 #include "recshard/profiler/profiler.hh"
 #include "recshard/remap/remap_table.hh"
 #include "recshard/routing/router.hh"
@@ -62,6 +65,20 @@ BM_ZipfSample(benchmark::State &state)
 BENCHMARK(BM_ZipfSample)->Arg(1 << 16)->Arg(1 << 24)->Arg(1LL << 32);
 
 void
+BM_ZipfSampleTable(benchmark::State &state)
+{
+    // The same draws as BM_ZipfSample, through the bulk-synthesis
+    // table (built outside the timed loop).
+    const ZipfTable zipf(static_cast<std::uint64_t>(state.range(0)), 1.1);
+    Rng rng(7);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(zipf(rng));
+    }
+}
+BENCHMARK(BM_ZipfSampleTable)->Arg(1 << 16)->Arg(1 << 24)
+    ->Arg(1LL << 32);
+
+void
 BM_FeatureBatchGeneration(benchmark::State &state)
 {
     const ModelSpec model = makeTinyModel(1, 100000, 3);
@@ -74,6 +91,23 @@ BM_FeatureBatchGeneration(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_FeatureBatchGeneration);
+
+void
+BM_ProfileDataset(benchmark::State &state)
+{
+    // The serving workloads' profiling pass: 12 tables of 20 000
+    // rows, 30 000 samples. One item is one profiled lookup.
+    const ModelSpec model = makeTinyModel(12, 20000, 7);
+    const SyntheticDataset data(model, 5);
+    std::uint64_t lookups = 0;
+    for (auto _ : state) {
+        const auto profiles = profileDataset(data, 30000, 4096);
+        for (const EmbProfile &p : profiles)
+            lookups += p.lookups;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(lookups));
+}
+BENCHMARK(BM_ProfileDataset)->Unit(benchmark::kMillisecond);
 
 void
 BM_FrequencyCdfBuild(benchmark::State &state)
@@ -268,6 +302,61 @@ BM_RouterRoute(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(lookups));
 }
 BENCHMARK(BM_RouterRoute)->Unit(benchmark::kMillisecond);
+
+void
+BM_AdmissionDecide(benchmark::State &state)
+{
+    // One arrival's verdict on a 3-node cluster: arg 0 is
+    // queue-threshold, arg 1 adaptive (its per-node EWMAs warmed by
+    // dispatch observations first). Outstanding counts cycle through
+    // a seeded spread that straddles both shed points.
+    const bool adaptive = state.range(0) == 1;
+    AdmissionConfig config;
+    config.policy = adaptive ? "adaptive" : "queue-threshold";
+    config.maxOutstanding = 16;
+    const auto controller = makeAdmissionController(config, 3, 1e-3);
+    for (std::uint32_t i = 0; i < 300; ++i)
+        controller->observeDispatch(i % 3, i * 1e-5, 1e-5, 5e-5);
+    Rng rng(13);
+    std::vector<std::uint64_t> outstanding(1024);
+    for (auto &o : outstanding)
+        o = static_cast<std::uint64_t>(rng.uniformInt(0, 32));
+    std::size_t i = 0;
+    double now = 0.0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(controller->decide(
+            now, static_cast<std::uint32_t>(i % 3), outstanding[i]));
+        now += 1e-5;
+        i = (i + 1) & (outstanding.size() - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.SetLabel(config.policy);
+}
+BENCHMARK(BM_AdmissionDecide)->Arg(0)->Arg(1);
+
+void
+BM_LatencyWindow(benchmark::State &state)
+{
+    // The hedge-delay estimate at the router's defaults: every
+    // completion pushes its latency into the 512-sample window, and
+    // every refreshInterval-th recomputes the p95. One item is one
+    // completion.
+    const HedgeConfig hedge;
+    LatencyWindow window(hedge.windowSize);
+    Rng rng(17);
+    std::vector<double> latencies(1 << 12);
+    for (double &l : latencies)
+        l = rng.uniform(1e-4, 2e-3);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        window.push(latencies[i]);
+        if (window.pushed() % hedge.refreshInterval == 0)
+            benchmark::DoNotOptimize(window.quantile(hedge.quantile));
+        i = (i + 1) & (latencies.size() - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LatencyWindow);
 
 void
 BM_LruTouch(benchmark::State &state)

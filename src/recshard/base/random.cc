@@ -1,5 +1,6 @@
 #include "recshard/base/random.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "recshard/base/logging.hh"
@@ -121,6 +122,13 @@ Rng::fork(std::uint64_t stream_id) const
     // sibling streams are decorrelated even for adjacent ids.
     std::uint64_t mix = s[0] ^ (stream_id * 0xd1342543de82ef95ULL);
     return Rng(splitMix64(mix));
+}
+
+bool
+Rng::operator==(const Rng &other) const
+{
+    return std::equal(s, s + 4, other.s) && hasSpare == other.hasSpare &&
+        (!hasSpare || spare == other.spare);
 }
 
 } // namespace recshard

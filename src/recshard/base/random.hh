@@ -62,6 +62,9 @@ class Rng
      */
     Rng fork(std::uint64_t stream_id) const;
 
+    /** Equal states: both streams continue identically. */
+    bool operator==(const Rng &other) const;
+
   private:
     std::uint64_t s[4];
     double spare;

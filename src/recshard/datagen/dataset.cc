@@ -4,7 +4,6 @@
 
 #include "recshard/base/logging.hh"
 #include "recshard/dist/sampling.hh"
-#include "recshard/dist/zipf.hh"
 #include "recshard/hashing/hashers.hh"
 
 namespace recshard {
@@ -63,10 +62,51 @@ SyntheticDataset::featureBatch(FeatureBatch &batch,
                                std::uint64_t batch_index,
                                std::uint32_t month) const
 {
+    checkFeature(feature);
+    const FeatureSpec &f = model.features[feature];
+    featureBatch(batch, ZipfTable(f.cardinality, f.alpha, false), feature,
+                 batch_size, batch_index, month);
+}
+
+ZipfTable
+SyntheticDataset::zipfTable(std::uint32_t feature) const
+{
+    checkFeature(feature);
+    const FeatureSpec &f = model.features[feature];
+    return ZipfTable(f.cardinality, f.alpha);
+}
+
+std::vector<ZipfTable>
+SyntheticDataset::zipfTables() const
+{
+    std::vector<ZipfTable> tables;
+    tables.reserve(model.numFeatures());
+    for (std::uint32_t j = 0; j < model.numFeatures(); ++j)
+        tables.push_back(zipfTable(j));
+    return tables;
+}
+
+void
+SyntheticDataset::checkFeature(std::uint32_t feature) const
+{
     fatal_if(feature >= model.numFeatures(),
              "feature ", feature, " out of range");
+}
+
+void
+SyntheticDataset::featureBatch(FeatureBatch &batch,
+                               const ZipfTable &zipf,
+                               std::uint32_t feature,
+                               std::uint32_t batch_size,
+                               std::uint64_t batch_index,
+                               std::uint32_t month) const
+{
+    checkFeature(feature);
     fatal_if(batch_size == 0, "batch size must be >= 1");
     const FeatureSpec &f = model.features[feature];
+    fatal_if(zipf.sampler().support() != f.cardinality ||
+                 zipf.sampler().exponent() != f.alpha,
+             "Zipf sampler does not match feature ", feature);
 
     // Independent substream per (feature, month, batch index).
     Rng rng = Rng(seed).fork(feature)
@@ -76,12 +116,13 @@ SyntheticDataset::featureBatch(FeatureBatch &batch,
     const double drifted_pool = f.meanPool *
         driftV.multiplier(f.kind, month);
     const PoolingDist pooling(drifted_pool, f.poolSigma, f.maxPool);
-    const ZipfSampler zipf(f.cardinality, f.alpha);
     const FeatureHasher hasher(f.hashSize, f.hashSalt);
     // Popularity churn: rotate the raw value space so the hot ranks
-    // land on new values as months pass ((v + 0) % n == v, so zero
-    // churn is bit-identical to the historical stream).
+    // land on new values as months pass. Both terms lie below the
+    // cardinality, so (v + shift) % cardinality is one conditional
+    // subtract; zero churn leaves the historical stream unchanged.
     const std::uint64_t shift = driftV.valueShift(month, f.cardinality);
+    const std::uint64_t wrap_at = f.cardinality - shift;
 
     batch.offsets.clear();
     batch.indices.clear();
@@ -92,9 +133,11 @@ SyntheticDataset::featureBatch(FeatureBatch &batch,
     for (std::uint32_t s = 0; s < batch_size; ++s) {
         if (rng.bernoulli(f.coverage)) {
             const std::uint32_t pool = pooling(rng);
-            for (std::uint32_t k = 0; k < pool; ++k)
+            for (std::uint32_t k = 0; k < pool; ++k) {
+                const std::uint64_t v = zipf(rng);
                 batch.indices.push_back(hasher(
-                    (zipf(rng) + shift) % f.cardinality));
+                    v >= wrap_at ? v - wrap_at : v + shift));
+            }
         }
         batch.offsets.push_back(
             static_cast<std::uint32_t>(batch.indices.size()));

@@ -23,6 +23,7 @@
 
 #include "recshard/base/random.hh"
 #include "recshard/datagen/feature_spec.hh"
+#include "recshard/dist/zipf.hh"
 
 namespace recshard {
 
@@ -135,6 +136,29 @@ class SyntheticDataset
                       std::uint64_t batch_index,
                       std::uint32_t month) const;
 
+    /**
+     * The same, drawing the feature's Zipf values through `sampler`,
+     * which must be the feature's (zipfTable(feature), or a
+     * table-less ZipfTable of its cardinality and exponent). The rows
+     * are identical either way; bulk callers that draw many batches
+     * of a feature build its table once and pass it here, while the
+     * overloads above draw through a table-less sampler.
+     */
+    void featureBatch(FeatureBatch &out, const ZipfTable &sampler,
+                      std::uint32_t feature, std::uint32_t batch_size,
+                      std::uint64_t batch_index,
+                      std::uint32_t month) const;
+
+    /**
+     * A tabulated Zipf sampler for one feature (up to 160 KiB).
+     * Built and owned by the caller for the length of one bulk call,
+     * never cached here.
+     */
+    ZipfTable zipfTable(std::uint32_t feature) const;
+
+    /** zipfTable() of every feature, in feature order. */
+    std::vector<ZipfTable> zipfTables() const;
+
     /** Generate all features for one batch. */
     SparseBatch batch(std::uint32_t batch_size,
                       std::uint64_t batch_index) const;
@@ -148,6 +172,9 @@ class SyntheticDataset
                                   std::uint64_t batch_index) const;
 
   private:
+    /** Fail fast on a feature index outside the model. */
+    void checkFeature(std::uint32_t feature) const;
+
     ModelSpec model;
     std::uint64_t seed;
     std::uint32_t monthV = 0;

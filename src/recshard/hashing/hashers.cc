@@ -26,22 +26,42 @@ mixMurmur3(std::uint64_t x)
     return x;
 }
 
+FastModulo::FastModulo(std::uint64_t divisor) : d(divisor)
+{
+    fatal_if(d == 0, "modulo divisor must be >= 1");
+    // floor((2^128 - 1) / d) + 1 == ceil(2^128 / d); it wraps to 0
+    // for d == 1, which still yields x % 1 == 0.
+    reciprocal = ~Wide{0} / d + 1;
+}
+
+namespace {
+
+/** Checked before FastModulo sees the size, for the hasher's own
+ *  message. */
+std::uint64_t
+checkedHashSize(std::uint64_t hash_size)
+{
+    fatal_if(hash_size == 0, "hash size must be >= 1");
+    return hash_size;
+}
+
+} // namespace
+
 FeatureHasher::FeatureHasher(std::uint64_t hash_size,
                              std::uint64_t salt, HashKind kind_)
-    : size(hash_size), saltV(salt), kind(kind_)
+    : saltV(salt), kind(kind_),
+      mixedSalt(salt * 0x9e3779b97f4a7c15ULL + 0x6a09e667f3bcc909ULL),
+      modulo(checkedHashSize(hash_size))
 {
-    fatal_if(size == 0, "hash size must be >= 1");
 }
 
 std::uint64_t
 FeatureHasher::operator()(std::uint64_t raw_value) const
 {
-    const std::uint64_t mixed_salt =
-        saltV * 0x9e3779b97f4a7c15ULL + 0x6a09e667f3bcc909ULL;
     const std::uint64_t mixed = kind == HashKind::SplitMix64
-        ? mixSplitMix64(raw_value ^ mixed_salt)
-        : mixMurmur3(raw_value ^ mixed_salt);
-    return mixed % size;
+        ? mixSplitMix64(raw_value ^ mixedSalt)
+        : mixMurmur3(raw_value ^ mixedSalt);
+    return modulo(mixed);
 }
 
 } // namespace recshard

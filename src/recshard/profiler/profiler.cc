@@ -146,12 +146,15 @@ profileDataset(const SyntheticDataset &data, std::uint64_t num_samples,
     parallelFor(J, [&](unsigned worker, std::size_t k) {
         const std::uint32_t j = order[k];
         FeatureBatch &fb = scratch[worker];
+        // This feature's tabulated Zipf draw, freed with the item.
+        const ZipfTable zipf = data.zipfTable(j);
         std::uint64_t remaining = num_samples;
         for (std::uint64_t batch_index = kProfileRegion; remaining > 0;
              ++batch_index) {
             const auto this_batch = static_cast<std::uint32_t>(
                 std::min<std::uint64_t>(batch_size, remaining));
-            data.featureBatch(fb, j, this_batch, batch_index, data.month());
+            data.featureBatch(fb, zipf, j, this_batch, batch_index,
+                              data.month());
             profiler.addFeatureBatch(j, fb);
             remaining -= this_batch;
         }

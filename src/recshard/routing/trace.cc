@@ -36,10 +36,11 @@ constexpr std::uint64_t kQueriesPerChunk = 128;
  * materialize every query's lookups at synthetic month month_of(i).
  * Each query's lookups are a pure function of (seed, feature, month,
  * batch index), so chunks of queries are generated in parallel and
- * the trace is identical for every worker count. Each worker draws a
- * query's features into its own scratch batches first, so the
- * query's block is allocated once at exact size and the rows are
- * narrowed into it in one pass.
+ * the trace is identical for every worker count. The features' Zipf
+ * tables are built once per call and shared read-only by the workers.
+ * Each worker draws a query's features into its own scratch batches
+ * first, so the query's block is allocated once at exact size and the
+ * rows are narrowed into it in one pass.
  */
 template <typename MonthOf>
 RoutedTrace
@@ -57,6 +58,7 @@ materialize(const SyntheticDataset &data, const LoadConfig &load,
     }
 
     const std::uint32_t J = data.spec().numFeatures();
+    const std::vector<ZipfTable> zipf = data.zipfTables();
     const std::uint64_t chunks =
         (num_queries + kQueriesPerChunk - 1) / kQueriesPerChunk;
     std::vector<std::vector<FeatureBatch>> scratch(
@@ -68,7 +70,7 @@ materialize(const SyntheticDataset &data, const LoadConfig &load,
         for (std::uint64_t i = chunk * kQueriesPerChunk; i < end; ++i) {
             RoutedQuery &rq = trace.queries[i];
             for (std::uint32_t j = 0; j < J; ++j) {
-                data.featureBatch(fbs[j], j, rq.query.samples,
+                data.featureBatch(fbs[j], zipf[j], j, rq.query.samples,
                                   rq.query.batchIndex, month_of(i));
                 rq.totalLookups += fbs[j].indices.size();
             }

@@ -25,6 +25,7 @@ generateTrace(const SyntheticDataset &data,
     requireCompactRows(data.spec());
     const std::uint32_t J = data.spec().numFeatures();
     trace.lookups.resize(trace.batches.size());
+    const std::vector<ZipfTable> zipf = data.zipfTables();
     FeatureBatch fb;
     for (std::size_t b = 0; b < trace.batches.size(); ++b) {
         const MicroBatch &batch = trace.batches[b];
@@ -33,8 +34,8 @@ generateTrace(const SyntheticDataset &data,
         for (std::uint32_t j = 0; j < J; ++j) {
             block.addFeature();
             for (const Query &q : batch.queries) {
-                data.featureBatch(fb, j, q.samples, q.batchIndex,
-                                  data.month());
+                data.featureBatch(fb, zipf[j], j, q.samples,
+                                  q.batchIndex, data.month());
                 block.appendSamples(fb);
             }
         }

@@ -250,6 +250,14 @@ TEST(Dataset, RejectsBadArguments)
                 ::testing::ExitedWithCode(1), "out of range");
     EXPECT_EXIT(data.featureBatch(0, 0, 0),
                 ::testing::ExitedWithCode(1), "batch size");
+    // A Zipf sampler built for another catalog.
+    FeatureBatch fb;
+    const FeatureSpec &f = model.features[0];
+    EXPECT_EXIT(data.featureBatch(fb, ZipfTable(f.cardinality + 1, f.alpha),
+                                  0, 8, 0, 0),
+                ::testing::ExitedWithCode(1), "does not match");
+    EXPECT_EXIT(data.zipfTable(9), ::testing::ExitedWithCode(1),
+                "out of range");
 }
 
 } // namespace

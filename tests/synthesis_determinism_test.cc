@@ -1,11 +1,13 @@
 /**
  * @file
- * Determinism tests for parallel data synthesis. The routed traces
- * and the dataset profile are generated on a worker pool
- * (base/parallel.hh); each must equal a sequential loop over
- * SyntheticDataset::featureBatch written here, whatever the worker
- * count. Also checks the pool itself: every item runs once, on a
- * worker id below parallelWorkers().
+ * Determinism tests for bulk data synthesis. The routed traces and
+ * the dataset profile are generated on a worker pool
+ * (base/parallel.hh), and they, like the serving trace, draw their
+ * Zipf values through per-call ZipfTables (dist/zipf.hh). Each must
+ * equal a sequential loop written here over the per-call
+ * SyntheticDataset::featureBatch, which draws through the exact
+ * sampler, whatever the worker count. Also checks the pool itself:
+ * every item runs once, on a worker id below parallelWorkers().
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "recshard/datagen/model_zoo.hh"
 #include "recshard/profiler/profiler.hh"
 #include "recshard/routing/trace.hh"
+#include "recshard/serving/serving.hh"
 
 namespace {
 
@@ -177,6 +180,71 @@ TEST(SynthesisDeterminism, ProfileMatchesSequentialLoop)
         ASSERT_EQ(a.rankedRows(), b.rankedRows());
         for (std::uint64_t r = 0; r < a.touchedRows(); ++r)
             ASSERT_EQ(a.countAtRank(r), b.countAtRank(r));
+    }
+}
+
+TEST(SynthesisDeterminism, ServingTraceMatchesSequentialLoop)
+{
+    SyntheticDataset data(model(), 21);
+    DriftModel drift;
+    drift.hotChurnPerMonth = 0.05;
+    data.setDrift(drift);
+    data.setMonth(4);
+    ServingConfig config;
+    config.load = load();
+    config.numQueries = 600;
+    const ServingTrace got = generateTrace(data, config);
+    ASSERT_EQ(got.lookups.size(), got.batches.size());
+    // Each batch holds, per feature, its queries' lookups one after
+    // another, offsets running on across query boundaries.
+    for (std::size_t b = 0; b < got.batches.size(); ++b) {
+        const LookupBlock &block = got.lookups[b];
+        ASSERT_EQ(block.numFeatures(), data.spec().numFeatures());
+        for (std::uint32_t j = 0; j < block.numFeatures(); ++j) {
+            std::vector<std::uint64_t> rows;
+            std::vector<std::uint32_t> offsets = {0};
+            for (const Query &q : got.batches[b].queries) {
+                const FeatureBatch fb =
+                    data.featureBatch(j, q.samples, q.batchIndex);
+                const auto base = static_cast<std::uint32_t>(rows.size());
+                rows.insert(rows.end(), fb.indices.begin(),
+                            fb.indices.end());
+                for (std::uint32_t s = 1; s <= fb.batchSize(); ++s)
+                    offsets.push_back(base + fb.offsets[s]);
+            }
+            ASSERT_EQ(std::vector<std::uint64_t>(
+                          block.featureRows(j),
+                          block.featureRows(j) + block.featureLookups(j)),
+                      rows)
+                << "batch " << b << " feature " << j;
+            ASSERT_EQ(std::vector<std::uint32_t>(
+                          block.featureOffsets(j),
+                          block.featureOffsets(j) + block.samples + 1),
+                      offsets)
+                << "batch " << b << " feature " << j;
+        }
+    }
+}
+
+TEST(SynthesisDeterminism, TableDrawEqualsPerCallDraw)
+{
+    // The bulk overload, with the feature's table, writes the rows the
+    // per-call overload writes, at any month and churn.
+    SyntheticDataset data(model(), 23);
+    DriftModel drift;
+    drift.hotChurnPerMonth = 0.3;
+    data.setDrift(drift);
+    FeatureBatch got;
+    for (std::uint32_t j = 0; j < data.spec().numFeatures(); ++j) {
+        const ZipfTable zipf = data.zipfTable(j);
+        EXPECT_GT(zipf.tabulatedRanks(), 0u);
+        for (std::uint32_t month = 0; month < 5; ++month) {
+            data.featureBatch(got, zipf, j, 128, 40 + month, month);
+            FeatureBatch exact;
+            data.featureBatch(exact, j, 128, 40 + month, month);
+            EXPECT_EQ(got.indices, exact.indices) << "feature " << j;
+            EXPECT_EQ(got.offsets, exact.offsets) << "feature " << j;
+        }
     }
 }
 
